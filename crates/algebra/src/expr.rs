@@ -1,10 +1,11 @@
 //! Scalar expressions and predicates over tuples.
 //!
-//! An [`Expr`] evaluates against a single *flat* tuple — for
-//! multi-variable queries the evaluator concatenates the tuples of all
-//! range variables and the expression addresses attributes by flat
-//! index.  This keeps evaluation allocation-free on the hot path; the
-//! TQuel layer resolves names to indices during semantic analysis.
+//! An [`Expr`] addresses attributes by *flat* index: for multi-variable
+//! queries the tuples of all range variables are laid out one after
+//! another, and the TQuel layer resolves names to indices during
+//! semantic analysis.  Evaluation reads through [`AttrSource`], so a
+//! caller can present the bound rows of several variables as one flat
+//! tuple without concatenating them.
 
 use std::fmt;
 
@@ -60,6 +61,19 @@ impl fmt::Display for CmpOp {
     }
 }
 
+/// Attribute values addressed by flat index: a [`Tuple`], or a view
+/// over several tuples laid out one after another.
+pub trait AttrSource {
+    /// The value at flat index `idx`, if there is one.
+    fn attr(&self, idx: usize) -> Option<&Value>;
+}
+
+impl AttrSource for Tuple {
+    fn attr(&self, idx: usize) -> Option<&Value> {
+        self.try_get(idx)
+    }
+}
+
 /// A scalar expression over a flat tuple.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Expr {
@@ -71,10 +85,10 @@ pub enum Expr {
 
 impl Expr {
     /// Evaluates to a value.
-    pub fn eval<'a>(&'a self, tuple: &'a Tuple) -> CoreResult<&'a Value> {
+    pub fn eval<'a, A: AttrSource + ?Sized>(&'a self, tuple: &'a A) -> CoreResult<&'a Value> {
         match self {
             Expr::Attr(i) => tuple
-                .try_get(*i)
+                .attr(*i)
                 .ok_or_else(|| CoreError::Invalid(format!("attribute index {i} out of range"))),
             Expr::Const(v) => Ok(v),
         }
@@ -98,7 +112,7 @@ pub enum Predicate {
 
 impl Predicate {
     /// Evaluates against a flat tuple.
-    pub fn eval(&self, tuple: &Tuple) -> CoreResult<bool> {
+    pub fn eval<A: AttrSource + ?Sized>(&self, tuple: &A) -> CoreResult<bool> {
         match self {
             Predicate::True => Ok(true),
             Predicate::Cmp(op, a, b) => {
@@ -115,6 +129,26 @@ impl Predicate {
             Predicate::And(a, b) => Ok(a.eval(tuple)? && b.eval(tuple)?),
             Predicate::Or(a, b) => Ok(a.eval(tuple)? || b.eval(tuple)?),
             Predicate::Not(a) => Ok(!a.eval(tuple)?),
+        }
+    }
+
+    /// Calls `f` with the flat index of every attribute the predicate
+    /// reads.
+    pub fn for_each_attr(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Predicate::True => {}
+            Predicate::Cmp(_, a, b) => {
+                for e in [a, b] {
+                    if let Expr::Attr(i) = e {
+                        f(*i);
+                    }
+                }
+            }
+            Predicate::And(a, b) | Predicate::Or(a, b) => {
+                a.for_each_attr(f);
+                b.for_each_attr(f);
+            }
+            Predicate::Not(a) => a.for_each_attr(f),
         }
     }
 
@@ -178,6 +212,16 @@ mod tests {
         let t = tuple(["Merrie", "full"]);
         let bad = Predicate::Cmp(CmpOp::Eq, Expr::Attr(0), Expr::Const(Value::Int(3)));
         assert!(bad.eval(&t).is_err());
+    }
+
+    #[test]
+    fn for_each_attr_lists_every_read() {
+        let p =
+            Predicate::attr_eq(2, "x")
+                .or(Predicate::Cmp(CmpOp::Lt, Expr::Attr(0), Expr::Attr(5)).not());
+        let mut read = Vec::new();
+        p.for_each_attr(&mut |i| read.push(i));
+        assert_eq!(read, vec![2, 0, 5]);
     }
 
     #[test]

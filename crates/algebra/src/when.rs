@@ -54,6 +54,19 @@ impl TemporalExpr {
         }
     }
 
+    /// Calls `f` with every range variable the expression reads.
+    pub fn for_each_var(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            TemporalExpr::Var(i) => f(*i),
+            TemporalExpr::Const(_) => {}
+            TemporalExpr::StartOf(e) | TemporalExpr::EndOf(e) => e.for_each_var(f),
+            TemporalExpr::Extend(a, b) | TemporalExpr::Intersect(a, b) => {
+                a.for_each_var(f);
+                b.for_each_var(f);
+            }
+        }
+    }
+
     /// `start of` builder.
     #[must_use]
     pub fn start_of(self) -> TemporalExpr {
@@ -116,6 +129,24 @@ impl TemporalPred {
             TemporalPred::And(a, b) => Ok(a.eval(env)? && b.eval(env)?),
             TemporalPred::Or(a, b) => Ok(a.eval(env)? || b.eval(env)?),
             TemporalPred::Not(a) => Ok(!a.eval(env)?),
+        }
+    }
+
+    /// Calls `f` with every range variable the predicate reads.
+    pub fn for_each_var(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            TemporalPred::True => {}
+            TemporalPred::Overlap(a, b)
+            | TemporalPred::Precede(a, b)
+            | TemporalPred::Equal(a, b) => {
+                a.for_each_var(f);
+                b.for_each_var(f);
+            }
+            TemporalPred::And(a, b) | TemporalPred::Or(a, b) => {
+                a.for_each_var(f);
+                b.for_each_var(f);
+            }
+            TemporalPred::Not(a) => a.for_each_var(f),
         }
     }
 
@@ -188,6 +219,17 @@ mod tests {
                 .eval(&env)
                 .unwrap()
         );
+    }
+
+    #[test]
+    fn for_each_var_lists_every_read() {
+        let p = TemporalPred::Not(Box::new(TemporalPred::Overlap(
+            TemporalExpr::Var(1).start_of(),
+            TemporalExpr::Const(Period::ALWAYS).extend(TemporalExpr::Var(0).end_of()),
+        )));
+        let mut read = Vec::new();
+        p.for_each_var(&mut |i| read.push(i));
+        assert_eq!(read, vec![1, 0]);
     }
 
     #[test]

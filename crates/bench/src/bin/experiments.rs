@@ -741,6 +741,37 @@ fn t7_tquel_throughput() {
         });
         println!("{:>20} | {:>12.1} | {:>6}", name, ns as f64 / 1e3, rows);
     }
+
+    // Ablation: the bitemporal join evaluated as the full cartesian
+    // product (the reference oracle), without conjunct pushdown.
+    let (_, join) = shapes.last().expect("the join shape");
+    let mut ranges = std::collections::HashMap::new();
+    let mut retrieve = None;
+    for stmt in chronos_tquel::parse_program(join).expect("parse") {
+        match stmt {
+            chronos_tquel::ast::Statement::RangeDecl { var, relation } => {
+                ranges.insert(var, relation);
+            }
+            chronos_tquel::ast::Statement::Retrieve(r) => retrieve = Some(r),
+            other => panic!("unexpected statement {other:?}"),
+        }
+    }
+    let retrieve = retrieve.expect("a retrieve");
+    let run = || {
+        let plan =
+            chronos_tquel::analyze::analyze_retrieve(&retrieve, &ranges, &db).expect("analyze");
+        chronos_tquel::exec::execute_plan_product(&plan, &db).expect("product")
+    };
+    let rows = run().len();
+    let ns = time_ns(10, || {
+        std::hint::black_box(run());
+    });
+    println!(
+        "{:>20} | {:>12.1} | {:>6}",
+        "join, full product",
+        ns as f64 / 1e3,
+        rows
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -19,10 +19,14 @@
 //! `valid` clause is given, a derived tuple's valid time is the
 //! intersection of the valid times of the variables appearing in the
 //! target list, and its transaction time likewise.
+//!
+//! For the evaluator, a plan also splits its `where` and `when` clauses
+//! into top-level conjuncts grouped by the range variables each reads
+//! (`RetrievePlan::qualification`).
 
 use std::collections::HashMap;
 
-use chronos_algebra::expr::{CmpOp, Expr, Predicate};
+use chronos_algebra::expr::{AttrSource, CmpOp, Expr, Predicate};
 use chronos_algebra::when::{TemporalExpr, TemporalPred};
 use chronos_core::calendar::date;
 use chronos_core::period::Period;
@@ -117,6 +121,102 @@ pub struct RetrievePlan {
     pub result_signature: TemporalSignature,
     /// Schema of the result relation.
     pub out_schema: Schema,
+}
+
+/// One top-level conjunct of a retrieve's `where` or `when` clause.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Conjunct<'p> {
+    /// A `where` conjunct over attribute values.
+    Where(&'p Predicate),
+    /// A `when` conjunct over valid times.
+    When(&'p TemporalPred),
+}
+
+impl Conjunct<'_> {
+    /// Evaluates the conjunct over attribute values addressed by flat
+    /// index and the range variables' valid periods.
+    pub(crate) fn holds(&self, attrs: &impl AttrSource, env: &[Period]) -> TquelResult<bool> {
+        Ok(match self {
+            Conjunct::Where(p) => p.eval(attrs)?,
+            Conjunct::When(p) => p.eval(env)?,
+        })
+    }
+}
+
+/// A retrieve's `where` and `when` clauses split into top-level
+/// conjuncts, grouped by the range variables each conjunct reads.
+#[derive(Debug)]
+pub(crate) struct Qualification<'p> {
+    /// Conjuncts that read no variable: decided once, before any scan.
+    pub(crate) constant: Vec<Conjunct<'p>>,
+    /// `pushed[v]`: conjuncts that read variable `v` alone, applied to
+    /// its scan.
+    pub(crate) pushed: Vec<Vec<Conjunct<'p>>>,
+    /// `residual[v]`: conjuncts that read two or more variables, the
+    /// last of them `v`; tested once the product has bound `v`.
+    pub(crate) residual: Vec<Vec<Conjunct<'p>>>,
+}
+
+impl RetrievePlan {
+    /// The range variable whose attributes include flat index `idx`.
+    fn var_of(&self, idx: usize) -> usize {
+        self.vars
+            .partition_point(|v| v.offset <= idx)
+            .saturating_sub(1)
+    }
+
+    /// Splits the `where` and `when` clauses at their top-level `and`s
+    /// and groups the conjuncts by the variables they read.
+    pub(crate) fn qualification(&self) -> Qualification<'_> {
+        let n = self.vars.len();
+        let mut q = Qualification {
+            constant: Vec::new(),
+            pushed: vec![Vec::new(); n],
+            residual: vec![Vec::new(); n],
+        };
+        let mut conjuncts = Vec::new();
+        where_conjuncts(&self.predicate, &mut conjuncts);
+        when_conjuncts(&self.when, &mut conjuncts);
+        for c in conjuncts {
+            // The first and last variable the conjunct reads.
+            let mut span: Option<(usize, usize)> = None;
+            let mut read = |v: usize| {
+                span = Some(span.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))));
+            };
+            match c {
+                Conjunct::Where(p) => p.for_each_attr(&mut |i| read(self.var_of(i))),
+                Conjunct::When(p) => p.for_each_var(&mut read),
+            }
+            match span {
+                None => q.constant.push(c),
+                Some((lo, hi)) if lo == hi => q.pushed[hi].push(c),
+                Some((_, hi)) => q.residual[hi].push(c),
+            }
+        }
+        q
+    }
+}
+
+fn where_conjuncts<'p>(p: &'p Predicate, out: &mut Vec<Conjunct<'p>>) {
+    match p {
+        Predicate::True => {}
+        Predicate::And(a, b) => {
+            where_conjuncts(a, out);
+            where_conjuncts(b, out);
+        }
+        other => out.push(Conjunct::Where(other)),
+    }
+}
+
+fn when_conjuncts<'p>(p: &'p TemporalPred, out: &mut Vec<Conjunct<'p>>) {
+    match p {
+        TemporalPred::True => {}
+        TemporalPred::And(a, b) => {
+            when_conjuncts(a, out);
+            when_conjuncts(b, out);
+        }
+        other => out.push(Conjunct::When(other)),
+    }
 }
 
 /// Analyzes a parsed retrieve against range declarations and a catalog.

@@ -1,10 +1,18 @@
 //! The tuple-calculus evaluator.
 //!
-//! A retrieve is evaluated as the paper (and Quel) define it: the
-//! cartesian product of the range variables' row sets, filtered by the
-//! `where` predicate over attribute values and the `when` predicate over
-//! valid times, then projected through the target list with derived
-//! timestamps.
+//! A retrieve means what the paper (and Quel) define: the cartesian
+//! product of the range variables' row sets, filtered by the `where`
+//! predicate over attribute values and the `when` predicate over valid
+//! times, then projected through the target list with derived
+//! timestamps.  [`execute_plan_product`] evaluates exactly that and is
+//! kept as the reference oracle.  The serving path, [`execute_plan`],
+//! splits the `where` and `when` clauses into their top-level
+//! conjuncts and groups them by the range variables each reads
+//! (`RetrievePlan::qualification`): constant conjuncts are decided
+//! once, each single-variable conjunct filters its variable's scan, and
+//! the rest are tested inside the nested loops as soon as the last
+//! variable they read is bound.  The loops keep the product's order, so
+//! both produce the same rows in the same order.
 //!
 //! Derived timestamps (§4.4's closure property — "this derived relation
 //! is a temporal relation, so further temporal relations can be derived
@@ -18,9 +26,11 @@
 //! Rows whose derived valid period is empty hold at no time and are
 //! dropped.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::collections::HashSet;
+use std::hash::BuildHasher;
 
+use chronos_algebra::expr::AttrSource;
 use chronos_core::period::Period;
 use chronos_core::relation::Validity;
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
@@ -31,7 +41,7 @@ use chronos_core::value::Value;
 
 use chronos_obs::{noop_recorder, Recorder};
 
-use crate::analyze::{analyze_retrieve, RetrievePlan, TargetPlan, ValidPlan};
+use crate::analyze::{analyze_retrieve, Conjunct, RetrievePlan, TargetPlan, ValidPlan, VarBinding};
 use crate::ast::{AggFunc, Retrieve, Statement};
 use crate::error::{TquelError, TquelResult};
 use crate::provider::{RelationProvider, SourceRow};
@@ -91,18 +101,34 @@ pub fn execute_plan(
 }
 
 /// Executes an analyzed plan, recording per-operator spans (scan,
-/// product, aggregate) into `recorder`.
+/// product, aggregate) into `recorder`.  A scan reports the rows it
+/// read (`rows_in`) and the rows that pass its pushed conjuncts
+/// (`rows_out`); the product or aggregate takes the combinations of the
+/// surviving rows.
 pub fn execute_plan_traced(
     plan: &RetrievePlan,
     provider: &dyn RelationProvider,
     recorder: &Recorder,
 ) -> TquelResult<ResultRelation> {
     let exec_span = recorder.span("tquel/exec");
+    let qual = plan.qualification();
+    let mut env = vec![Period::ALWAYS; plan.vars.len()];
+    let qualifies = holds_all(
+        &qual.constant,
+        &Bound {
+            rows: &[],
+            vars: &[],
+        },
+        &env,
+    )?;
+
     // Scan each range variable (shared row sets — a caching provider
-    // hands the same Arc to every retrieve at the same coordinate).
+    // hands the same Arc to every retrieve at the same coordinate) and
+    // keep the positions of the rows that pass its pushed conjuncts.
     let mut scans: Vec<std::sync::Arc<Vec<SourceRow>>> = Vec::with_capacity(plan.vars.len());
+    let mut kept: Vec<Vec<usize>> = Vec::with_capacity(plan.vars.len());
     let mut estimates: Vec<Option<u64>> = Vec::with_capacity(plan.vars.len());
-    for v in &plan.vars {
+    for (vi, v) in plan.vars.iter().enumerate() {
         let span = recorder.span("tquel/scan");
         span.detail(format!("{} over {}", v.name, v.relation));
         // Statistics describe the current state, so estimates only apply
@@ -117,10 +143,30 @@ pub fn execute_plan_traced(
         }
         estimates.push(est);
         let rows = provider.scan(&v.relation, plan.as_of.as_ref())?;
-        span.rows_out(rows.len() as u64);
+        span.rows_in(rows.len() as u64);
+        let mut keep = Vec::new();
+        if qualifies {
+            for (i, row) in rows.iter().enumerate() {
+                env[vi] = valid_period(row);
+                let alone = Bound {
+                    rows: std::slice::from_ref(&row),
+                    vars: std::slice::from_ref(v),
+                };
+                if holds_all(&qual.pushed[vi], &alone, &env)? {
+                    keep.push(i);
+                }
+            }
+        }
+        span.rows_out(keep.len() as u64);
         scans.push(rows);
+        kept.push(keep);
     }
-    let combinations: u64 = scans.iter().map(|s| s.len() as u64).product();
+    let candidates: Vec<Vec<&SourceRow>> = scans
+        .iter()
+        .zip(&kept)
+        .map(|(rows, keep)| keep.iter().map(|&i| &rows[i]).collect())
+        .collect();
+    let combinations: u64 = candidates.iter().map(|c| c.len() as u64).product();
     // The product's input estimate is the product of the per-scan
     // estimates — defined only when every scan had one.
     let est_combinations: Option<u64> = estimates
@@ -128,97 +174,260 @@ pub fn execute_plan_traced(
         .copied()
         .try_fold(1u64, |acc, e| e.map(|e| acc.saturating_mul(e)));
 
-    if plan.aggregated {
-        let span = recorder.span("tquel/aggregate");
-        span.rows_in(combinations);
-        if let Some(est) = est_combinations {
-            span.rows_est(est);
-        }
-        let result = execute_aggregate(plan, &scans)?;
-        span.rows_out(result.len() as u64);
-        exec_span.rows_out(result.len() as u64);
-        return Ok(result);
-    }
-    let product_span = recorder.span("tquel/product");
-    product_span.rows_in(combinations);
+    let span = recorder.span(if plan.aggregated {
+        "tquel/aggregate"
+    } else {
+        "tquel/product"
+    });
+    span.rows_in(combinations);
     if let Some(est) = est_combinations {
-        product_span.rows_est(est);
+        span.rows_est(est);
+    }
+    let mut sink = Sink::new(plan);
+    if qualifies {
+        let mut bound = Vec::with_capacity(plan.vars.len());
+        nested_loops(
+            0,
+            &candidates,
+            &qual.residual,
+            &plan.vars,
+            &mut bound,
+            &mut env,
+            &mut sink,
+        )?;
+    }
+    let result = sink.finish();
+    span.rows_out(result.len() as u64);
+    exec_span.rows_out(result.len() as u64);
+    Ok(result)
+}
+
+/// Executes an analyzed plan by the tuple calculus's definition, read
+/// literally: every combination of the range variables' full scans is
+/// flattened into one tuple and tested against the whole `where` and
+/// `when` clauses.
+///
+/// This is the reference oracle that differential tests hold
+/// [`execute_plan`] to, and the ablation that prices its pushdown.  It
+/// is not a serving path.
+pub fn execute_plan_product(
+    plan: &RetrievePlan,
+    provider: &dyn RelationProvider,
+) -> TquelResult<ResultRelation> {
+    let scans = plan
+        .vars
+        .iter()
+        .map(|v| provider.scan(&v.relation, plan.as_of.as_ref()))
+        .collect::<TquelResult<Vec<_>>>()?;
+    let mut sink = Sink::new(plan);
+    if scans.iter().all(|s| !s.is_empty()) {
+        let mut idx = vec![0usize; scans.len()];
+        'product: loop {
+            let combo: Vec<&SourceRow> = idx.iter().zip(&scans).map(|(&i, s)| &s[i]).collect();
+            let mut values = Vec::new();
+            for r in &combo {
+                values.extend_from_slice(r.tuple.values());
+            }
+            let flat = Tuple::new(values);
+            let env: Vec<Period> = combo.iter().map(|r| valid_period(r)).collect();
+            if plan.predicate.eval(&flat)? && plan.when.eval(&env)? {
+                sink.accept(&combo, &flat, &env)?;
+            }
+
+            // Advance the odometer.
+            let mut d = scans.len();
+            loop {
+                if d == 0 {
+                    break 'product;
+                }
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < scans[d].len() {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
+    }
+    Ok(sink.finish())
+}
+
+/// The nested-loop driver.  Binds variable `depth` to each of its
+/// candidate rows in scan order — variable 0 outermost, so combinations
+/// arrive in the cartesian product's order — and tests the residual
+/// conjuncts whose last variable is `depth` before binding the next.
+/// Every combination that passes reaches `sink`.
+fn nested_loops<'r>(
+    depth: usize,
+    candidates: &[Vec<&'r SourceRow>],
+    residual: &[Vec<Conjunct<'_>>],
+    vars: &[VarBinding],
+    bound: &mut Vec<&'r SourceRow>,
+    env: &mut [Period],
+    sink: &mut Sink<'_>,
+) -> TquelResult<()> {
+    let Some(rows) = candidates.get(depth) else {
+        return sink.accept(bound, &Bound { rows: bound, vars }, env);
+    };
+    for &row in rows {
+        bound.truncate(depth);
+        bound.push(row);
+        env[depth] = valid_period(row);
+        if holds_all(&residual[depth], &Bound { rows: bound, vars }, env)? {
+            nested_loops(depth + 1, candidates, residual, vars, bound, env, sink)?;
+        }
+    }
+    Ok(())
+}
+
+/// The rows of the leading range variables, read as one flat tuple
+/// without concatenating them: flat index `i` belongs to the last
+/// variable whose offset is at most `i`.
+struct Bound<'a, 'r> {
+    rows: &'a [&'r SourceRow],
+    vars: &'a [VarBinding],
+}
+
+impl AttrSource for Bound<'_, '_> {
+    fn attr(&self, idx: usize) -> Option<&Value> {
+        let v = self
+            .vars
+            .partition_point(|b| b.offset <= idx)
+            .checked_sub(1)?;
+        self.rows.get(v)?.tuple.try_get(idx - self.vars[v].offset)
+    }
+}
+
+fn holds_all(
+    conjuncts: &[Conjunct<'_>],
+    attrs: &impl AttrSource,
+    env: &[Period],
+) -> TquelResult<bool> {
+    for c in conjuncts {
+        if !c.holds(attrs, env)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// A row's valid period; rows without valid time hold always.
+fn valid_period(row: &SourceRow) -> Period {
+    row.validity.map_or(Period::ALWAYS, |v| v.period())
+}
+
+/// The value at a target's flat index (analysis resolves every target
+/// to an attribute of a bound variable).
+fn target_value(attrs: &impl AttrSource, idx: usize) -> &Value {
+    attrs
+        .attr(idx)
+        .expect("analysis resolves targets to bound attributes")
+}
+
+/// Builds a retrieve's result from its qualifying combinations, taken
+/// in the product's order.
+struct Sink<'p> {
+    plan: &'p RetrievePlan,
+    /// Aggregated plans: a running state per target and the flat index
+    /// it reads.
+    aggregates: Vec<(AggState, usize)>,
+    /// Derived rows under set semantics, first occurrence first.
+    rows: Vec<ResultRow>,
+    /// Hash of each kept row (tuple and both timestamps) → its position.
+    first: HashMap<u64, usize>,
+    hasher: RandomState,
+}
+
+impl<'p> Sink<'p> {
+    fn new(plan: &'p RetrievePlan) -> Sink<'p> {
+        let aggregates = plan
+            .targets
+            .iter()
+            .zip(plan.out_schema.attributes())
+            .filter_map(|((_, t), out_attr)| match t {
+                TargetPlan::Aggregate(func, flat) => {
+                    let is_float = out_attr.attr_type() == chronos_core::value::AttrType::Float;
+                    Some((AggState::new(*func, is_float), *flat))
+                }
+                TargetPlan::Attr(_) => None,
+            })
+            .collect();
+        Sink {
+            plan,
+            aggregates,
+            rows: Vec::new(),
+            first: HashMap::new(),
+            hasher: RandomState::new(),
+        }
     }
 
-    let kind = match (plan.result_valid, plan.result_tx) {
-        (true, true) => DatabaseClass::Temporal,
-        (true, false) => DatabaseClass::Historical,
-        _ => DatabaseClass::Static,
-    };
+    /// Takes one qualifying combination: its rows, their attributes by
+    /// flat index, and their valid periods.
+    fn accept(
+        &mut self,
+        rows: &[&SourceRow],
+        attrs: &impl AttrSource,
+        env: &[Period],
+    ) -> TquelResult<()> {
+        if self.plan.aggregated {
+            for (state, idx) in &mut self.aggregates {
+                state.observe(target_value(attrs, *idx))?;
+            }
+        } else if let Some(row) = derive_row(self.plan, rows, attrs, env)? {
+            self.insert(row);
+        }
+        Ok(())
+    }
 
-    /// Set semantics over derived rows: tuple + both timestamps.
-    type RowKey = (Tuple, Option<Validity>, Option<(TimePoint, TimePoint)>);
-    let mut rows: Vec<ResultRow> = Vec::new();
-    let mut seen: HashSet<RowKey> = HashSet::new();
+    /// Keeps `row` unless an equal row was kept already.
+    fn insert(&mut self, row: ResultRow) {
+        let hash = self.hasher.hash_one((&row.tuple, row.validity, row.tx));
+        match self.first.entry(hash) {
+            Entry::Vacant(e) => {
+                e.insert(self.rows.len());
+                self.rows.push(row);
+            }
+            // Distinct rows rarely share a hash; compare with every kept
+            // row when they do.
+            Entry::Occupied(e) => {
+                if self.rows[*e.get()] != row && !self.rows.contains(&row) {
+                    self.rows.push(row);
+                }
+            }
+        }
+    }
 
-    // Cartesian product via an index vector (no recursion, no clones of
-    // the scans).
-    if scans.iter().any(|s| s.is_empty()) {
-        product_span.rows_out(0);
-        exec_span.rows_out(0);
-        return Ok(ResultRelation {
+    /// The derived relation.  An aggregated plan yields one static tuple,
+    /// or no tuple when a value aggregate is undefined over an empty set.
+    fn finish(self) -> ResultRelation {
+        let plan = self.plan;
+        let rows = if plan.aggregated {
+            self.aggregates
+                .into_iter()
+                .map(|(state, _)| state.finish())
+                .collect::<Option<Vec<Value>>>()
+                .map(|values| ResultRow {
+                    tuple: Tuple::new(values),
+                    validity: None,
+                    tx: None,
+                })
+                .into_iter()
+                .collect()
+        } else {
+            self.rows
+        };
+        let kind = match (plan.result_valid, plan.result_tx) {
+            (true, true) => DatabaseClass::Temporal,
+            (true, false) => DatabaseClass::Historical,
+            _ => DatabaseClass::Static,
+        };
+        ResultRelation {
             schema: plan.out_schema.clone(),
             kind,
             signature: plan.result_signature,
             rows,
-        });
-    }
-    let mut idx = vec![0usize; scans.len()];
-    'product: loop {
-        let combo: Vec<&SourceRow> = idx.iter().zip(&scans).map(|(&i, s)| &s[i]).collect();
-
-        // Flat tuple and period environment.
-        let mut values = Vec::new();
-        for r in &combo {
-            values.extend_from_slice(r.tuple.values());
-        }
-        let flat = Tuple::new(values);
-        let env: Vec<Period> = combo
-            .iter()
-            .map(|r| r.validity.map_or(Period::ALWAYS, |v| v.period()))
-            .collect();
-
-        if plan.predicate.eval(&flat)? && plan.when.eval(&env)? {
-            if let Some(row) = derive_row(plan, &combo, &flat, &env)? {
-                let key = (
-                    row.tuple.clone(),
-                    row.validity,
-                    row.tx.map(|p| (p.start(), p.end())),
-                );
-                if seen.insert(key) {
-                    rows.push(row);
-                }
-            }
-        }
-
-        // Advance the odometer.
-        let mut d = scans.len();
-        loop {
-            if d == 0 {
-                break 'product;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < scans[d].len() {
-                break;
-            }
-            idx[d] = 0;
         }
     }
-
-    product_span.rows_out(rows.len() as u64);
-    exec_span.rows_out(rows.len() as u64);
-    Ok(ResultRelation {
-        schema: plan.out_schema.clone(),
-        kind,
-        signature: plan.result_signature,
-        rows,
-    })
 }
 
 /// Running state of one aggregate target.
@@ -301,88 +510,10 @@ impl AggState {
     }
 }
 
-/// Aggregated execution: one pass over the qualifying combinations,
-/// producing a single static tuple (or the empty relation when a
-/// value aggregate is undefined over an empty set).
-fn execute_aggregate(
-    plan: &RetrievePlan,
-    scans: &[std::sync::Arc<Vec<SourceRow>>],
-) -> TquelResult<ResultRelation> {
-    let mut states: Vec<(AggState, usize)> = plan
-        .targets
-        .iter()
-        .zip(plan.out_schema.attributes())
-        .map(|((_, t), out_attr)| match t {
-            TargetPlan::Aggregate(func, flat) => {
-                let is_float = out_attr.attr_type() == chronos_core::value::AttrType::Float;
-                (AggState::new(*func, is_float), *flat)
-            }
-            TargetPlan::Attr(_) => unreachable!("analysis rejects mixed target lists"),
-        })
-        .collect();
-
-    if !scans.iter().any(|s| s.is_empty()) {
-        let mut idx = vec![0usize; scans.len()];
-        'product: loop {
-            let combo: Vec<&SourceRow> = idx.iter().zip(scans).map(|(&i, s)| &s[i]).collect();
-            let mut values = Vec::new();
-            for r in &combo {
-                values.extend_from_slice(r.tuple.values());
-            }
-            let flat = Tuple::new(values);
-            let env: Vec<Period> = combo
-                .iter()
-                .map(|r| r.validity.map_or(Period::ALWAYS, |v| v.period()))
-                .collect();
-            if plan.predicate.eval(&flat)? && plan.when.eval(&env)? {
-                for (state, flat_idx) in &mut states {
-                    state.observe(flat.get(*flat_idx))?;
-                }
-            }
-            let mut d = scans.len();
-            loop {
-                if d == 0 {
-                    break 'product;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < scans[d].len() {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-    }
-
-    let mut values = Vec::with_capacity(states.len());
-    let mut defined = true;
-    for (state, _) in states {
-        match state.finish() {
-            Some(v) => values.push(v),
-            None => defined = false,
-        }
-    }
-    let rows = if defined {
-        vec![ResultRow {
-            tuple: Tuple::new(values),
-            validity: None,
-            tx: None,
-        }]
-    } else {
-        Vec::new()
-    };
-    Ok(ResultRelation {
-        schema: plan.out_schema.clone(),
-        kind: DatabaseClass::Static,
-        signature: plan.result_signature,
-        rows,
-    })
-}
-
 fn derive_row(
     plan: &RetrievePlan,
     combo: &[&SourceRow],
-    flat: &Tuple,
+    attrs: &impl AttrSource,
     env: &[Period],
 ) -> TquelResult<Option<ResultRow>> {
     // Valid time.
@@ -463,7 +594,7 @@ fn derive_row(
         .targets
         .iter()
         .map(|(_, t)| match t {
-            TargetPlan::Attr(flat_idx) => flat.get(*flat_idx).clone(),
+            TargetPlan::Attr(flat_idx) => target_value(attrs, *flat_idx).clone(),
             TargetPlan::Aggregate(..) => {
                 unreachable!("aggregated plans take the aggregate path")
             }

@@ -33,8 +33,8 @@ cargo build --release --offline
 echo "==> cargo test -q"
 cargo test -q --offline
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> proptest regressions policy (counterexamples must be committed)"
 if [ -n "$(git status --porcelain -- '*.proptest-regressions' 2>/dev/null)" ]; then

@@ -375,8 +375,7 @@ fn recovery_event_matches_the_replayed_table_state() {
     // across database lifetimes).
     let recovery = journal
         .lines()
-        .filter(|l| l.contains("\"event\": \"recovery\""))
-        .next_back()
+        .rfind(|l| l.contains("\"event\": \"recovery\""))
         .expect("a recovery event");
     assert_eq!(field_u64(recovery, "frames_replayed"), replayed_txns);
     assert_eq!(field_u64(recovery, "truncated_at"), first_frame_end);
